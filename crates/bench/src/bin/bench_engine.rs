@@ -20,6 +20,7 @@
 //! **continuous-token churn** run (periodic timers re-arming forever), and
 //! a long **reliability** run (heartbeats + crashes + repair).
 
+use rgb_bench::cli;
 use rgb_core::prelude::*;
 use rgb_sim::fault::bernoulli_crashes;
 use rgb_sim::sim::Simulation;
@@ -242,13 +243,20 @@ fn render_json(quick: bool, score: f64, runs: &[(Measurement, Option<f64>)]) -> 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let flag_value =
-        |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned();
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_sim.json".to_owned());
-    let baseline = flag_value("--baseline").and_then(|p| std::fs::read_to_string(p).ok());
+    let (mut quick, mut check) = (false, false);
+    let mut out_path = "BENCH_sim.json".to_owned();
+    let mut baseline_path = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--quick" => quick = true,
+            "--check" => check = true,
+            "--out" => out_path = cli::value(&mut args, &flag),
+            "--baseline" => baseline_path = Some(cli::value(&mut args, &flag)),
+            other => cli::usage_error(format_args!("unknown flag {other}")),
+        }
+    }
+    let baseline = baseline_path.and_then(|p| std::fs::read_to_string(p).ok());
 
     eprintln!("bench_engine: {} mode", if quick { "quick" } else { "full" });
     // In gate mode a silent fallback would leave CI green while checking

@@ -44,6 +44,7 @@
 //! written as `null` with a note saying why — the determinism claim is
 //! machine-independent, the speedup claim is not.
 
+use rgb_bench::cli;
 use rgb_core::obs::{FlightRecorder, TraceSink};
 use rgb_core::prelude::*;
 use rgb_sim::fault::bernoulli_crashes;
@@ -346,26 +347,34 @@ fn render_json(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let million = args.iter().any(|a| a == "--million");
-    if smoke && million {
-        eprintln!("--smoke and --million are mutually exclusive");
-        std::process::exit(2);
+    let (mut smoke, mut million, mut digests) = (false, false, false);
+    let mut out_path = "BENCH_scale.json".to_owned();
+    let mut obs_out = None;
+    let mut budget_secs: Option<u64> = None;
+    let mut runs_per_mode: usize = 3;
+    let mut min_speedup: Option<f64> = None;
+    let mut gate_shards: usize = 4;
+    let mut warn_speedup: f64 = 2.0;
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--smoke" => smoke = true,
+            "--million" => million = true,
+            "--check-digests" => digests = true,
+            "--out" => out_path = cli::value(&mut args, &flag),
+            "--obs-out" => obs_out = Some(cli::value(&mut args, &flag)),
+            "--budget-secs" => budget_secs = Some(cli::parsed_value(&mut args, &flag)),
+            "--runs" => runs_per_mode = cli::parsed_value(&mut args, &flag),
+            "--min-speedup" => min_speedup = Some(cli::parsed_value(&mut args, &flag)),
+            "--gate-shards" => gate_shards = cli::parsed_value(&mut args, &flag),
+            "--warn-speedup" => warn_speedup = cli::parsed_value(&mut args, &flag),
+            other => cli::usage_error(format_args!("unknown flag {other}")),
+        }
     }
-    let check = smoke || million || args.iter().any(|a| a == "--check-digests");
-    let flag_value =
-        |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned();
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_scale.json".to_owned());
-    let obs_out = flag_value("--obs-out");
-    let budget_secs: Option<u64> = flag_value("--budget-secs").map(|v| v.parse().expect("secs"));
-    let runs_per_mode: usize = flag_value("--runs").map_or(3, |v| v.parse().expect("--runs N"));
-    let min_speedup: Option<f64> =
-        flag_value("--min-speedup").map(|v| v.parse().expect("--min-speedup X"));
-    let gate_shards: usize =
-        flag_value("--gate-shards").map_or(4, |v| v.parse().expect("--gate-shards S"));
-    let warn_speedup: f64 =
-        flag_value("--warn-speedup").map_or(2.0, |v| v.parse().expect("--warn-speedup Y"));
+    if smoke && million {
+        cli::usage_error("--smoke and --million are mutually exclusive");
+    }
+    let check = smoke || million || digests;
 
     // Tiers: 20k smoke (r=27 ⇒ 20,439 NEs), 100k full (r=46 ⇒ 99,498),
     // 10⁶ gated (r=100 ⇒ 1,010,100). The million tier runs a shorter

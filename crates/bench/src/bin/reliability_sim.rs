@@ -23,6 +23,7 @@ use rgb_baselines::{
     mean_partitions_single_fault_without_reps, ring_hierarchy_fw, single_fault_fw_with_reps,
     single_fault_fw_without_reps, tree_no_reps_fw, tree_with_reps_fw, TreeHierarchy,
 };
+use rgb_bench::cli;
 use rgb_core::prelude::*;
 use rgb_sim::fault::bernoulli_crashes;
 use rgb_sim::{Backend, Scenario};
@@ -127,13 +128,10 @@ fn main() {
     let mut obs_out: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        if arg == "--obs-out" {
-            obs_out = Some(it.next().unwrap_or_else(|| {
-                eprintln!("missing value for --obs-out");
-                std::process::exit(2);
-            }));
-        } else if let Ok(n) = arg.parse() {
-            trials = n;
+        match arg.as_str() {
+            "--obs-out" => obs_out = Some(cli::value(&mut it, &arg)),
+            flag if flag.starts_with("--") => cli::usage_error(format_args!("unknown flag {flag}")),
+            count => trials = cli::parse(count, "trials"),
         }
     }
 

@@ -9,9 +9,14 @@
 use rgb_analysis::montecarlo::estimate_hierarchy_fw;
 use rgb_analysis::reliability::table_ii;
 use rgb_analysis::tables::{pct3, render};
+use rgb_bench::cli;
 
 fn main() {
-    let trials: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(300_000);
+    let mut args = std::env::args().skip(1);
+    let trials: u64 = args.next().map_or(300_000, |t| cli::parse(&t, "trials"));
+    if let Some(extra) = args.next() {
+        cli::usage_error(format_args!("unexpected argument {extra}"));
+    }
     println!("Table II (Monte-Carlo, {trials} trials per cell)\n");
     let mut rows = Vec::new();
     for row in table_ii() {

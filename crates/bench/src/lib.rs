@@ -176,6 +176,35 @@ pub fn measure_shape_latency(h: usize, r: usize, seed: u64) -> ChangeCost {
     measure_change(h, r, NetConfig::default(), seed)
 }
 
+/// Strict argument handling shared by the experiment binaries: a bad
+/// argument exits with status 2 and is named on stderr, instead of falling
+/// back to a default or panicking.
+pub mod cli {
+    use std::fmt::Display;
+    use std::str::FromStr;
+
+    /// Print `msg` to stderr and exit with status 2 (bad usage).
+    pub fn usage_error(msg: impl Display) -> ! {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    }
+
+    /// The argument following `flag`.
+    pub fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+        args.next().unwrap_or_else(|| usage_error(format_args!("missing value for {flag}")))
+    }
+
+    /// The argument following `flag`, parsed as a `T`.
+    pub fn parsed_value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+        parse(&value(args, flag), flag)
+    }
+
+    /// `text` parsed as a `T`; `what` names the argument in the error.
+    pub fn parse<T: FromStr>(text: &str, what: &str) -> T {
+        text.parse().unwrap_or_else(|_| usage_error(format_args!("bad value {text:?} for {what}")))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,9 +8,11 @@
 //! [`apply_outputs`] driver interprets a batch of outputs against a
 //! substrate uniformly, so every execution backend applies protocol outputs
 //! the *same way*, including wire-encoding each [`Output::Send`] into an
-//! [`Envelope`] frame. Both shipped substrates therefore exercise
-//! [`crate::wire`] end-to-end: what differs between them is only how frames
-//! travel and how time passes.
+//! [`Envelope`] frame. The workspace ships two substrates: `rgb-sim`'s
+//! single simulator core, which the sequential engine runs over the whole
+//! layout and the parallel engine runs once per shard, and `rgb-net`'s
+//! live reactor. Both exercise [`crate::wire`] end-to-end: what differs
+//! between them is only how frames travel and how time passes.
 //!
 //! The companion [`OutputSink`] alias names the reusable output buffer used
 //! with [`crate::node::NodeState::handle_into`]: hot loops keep one buffer

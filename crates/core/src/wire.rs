@@ -184,7 +184,9 @@ fn get_member_list(buf: &mut &[u8]) -> Result<MemberList> {
     }
     let mut l = MemberList::new();
     for _ in 0..n {
-        l.upsert(get_member_info(buf)?);
+        if l.upsert(get_member_info(buf)?).is_some() {
+            return Err(RgbError::Decode("duplicate member GUID"));
+        }
     }
     Ok(l)
 }

@@ -232,3 +232,57 @@ proptest! {
         );
     }
 }
+
+/// Whatever the decoder accepts re-encodes to exactly the bytes it was
+/// given: no input decodes to a smaller message (a dropped duplicate, an
+/// ignored field) that the codec would then put back on the wire.
+fn accepted_input_is_length_exact(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(env) = wire::decode(bytes) {
+        let len = wire::encode(&env).len();
+        prop_assert_eq!(len, bytes.len(), "accepted {:?} re-encodes to {} B", env, len);
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Arbitrary bytes never panic the decoder.
+    #[test]
+    fn decoding_arbitrary_bytes_never_panics(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512)
+    ) {
+        accepted_input_is_length_exact(&bytes)?;
+    }
+
+    /// A valid encoding with any one byte overwritten is either rejected
+    /// or decodes to a message of exactly its length. Every position is
+    /// overwritten with `byte` and with every value the encoding already
+    /// holds, so copying one identifier's byte into another — the way a
+    /// duplicate GUID arises — is tried at every offset.
+    #[test]
+    fn corrupted_encodings_decode_length_exact(
+        gid in 0u32..16,
+        msg in arb_msg(),
+        byte in any::<u8>()
+    ) {
+        let bytes = wire::encode(&Envelope { gid: GroupId(gid), msg }).to_vec();
+        let mut values: Vec<u8> = bytes.iter().copied().chain([byte]).collect();
+        values.sort_unstable();
+        values.dedup();
+        for pos in 0..bytes.len() {
+            for &value in &values {
+                let mut corrupt = bytes.clone();
+                corrupt[pos] = value;
+                accepted_input_is_length_exact(&corrupt)?;
+            }
+        }
+    }
+
+    /// Every strict prefix of a valid encoding is rejected.
+    #[test]
+    fn truncated_encodings_are_rejected(gid in 0u32..16, msg in arb_msg()) {
+        let bytes = wire::encode(&Envelope { gid: GroupId(gid), msg });
+        for cut in 0..bytes.len() {
+            prop_assert!(wire::decode(&bytes[..cut]).is_err(), "prefix of {} B decoded", cut);
+        }
+    }
+}

@@ -10,8 +10,9 @@
 //! way" — at live-experiment scale: worker count, not node count, bounds
 //! the thread budget.
 //!
-//! The runtime is the third implementation of `rgb_core`'s substrate layer
-//! (after the sequential and the sharded simulator): protocol outputs flow
+//! The runtime is the second implementation of `rgb_core`'s substrate
+//! layer, next to the simulator core that both the sequential and the
+//! sharded simulator run: protocol outputs flow
 //! through the shared `rgb_core::substrate::apply_outputs` driver
 //! (wire-encoding every send), and declarative `rgb_sim::Scenario`
 //! experiments replay here unchanged through the unified run API —
@@ -33,8 +34,3 @@ pub use error::NetError;
 pub use reactor::{ClusterStats, LiveConfig, NodeSnapshot};
 pub use scenario::LiveEngine;
 pub use transport::{Router, SendOutcome, ToWorker};
-
-#[allow(deprecated)]
-pub use cluster::LiveCluster;
-#[allow(deprecated)]
-pub use scenario::{run_scenario, run_scenario_digest};

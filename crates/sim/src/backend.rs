@@ -1,10 +1,9 @@
 //! The unified run surface: one [`Backend`] choice instead of three
 //! incompatible entry points.
 //!
-//! Historically a scenario ran through `Scenario::run_sim` (sequential
-//! simulator), `Scenario::run_with(Parallelism)` (sharded simulator) or
-//! `rgb_net::run_scenario` (live runtime) — three APIs with three shapes.
-//! [`Scenario::run_on`](crate::scenario::Scenario::run_on) collapses them:
+//! [`Scenario::run_on`](crate::scenario::Scenario::run_on) is the one way
+//! to run a scenario, whichever engine executes it (the older per-engine
+//! entry points were removed in 0.6.0):
 //!
 //! | backend | engine | world |
 //! |---|---|---|

@@ -91,7 +91,7 @@ impl GenLimits {
     /// *shallow* fault schedules — crash probabilities an order of
     /// magnitude below [`GenLimits::full`], at most one partition, mild
     /// loss. Meant to be driven through
-    /// [`Parallelism::Shards`](crate::par::Parallelism): the point is the
+    /// [`Backend::Par`](crate::Backend::Par): the point is the
     /// oracle battery at scale, not fault density.
     pub fn large() -> Self {
         GenLimits {

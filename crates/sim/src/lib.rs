@@ -9,10 +9,12 @@
 //! measures everything ([`metrics`]), with global invariant checks
 //! ([`oracle`]).
 //!
-//! The simulator is one implementation of `rgb_core`'s substrate layer
-//! (`rgb_core::substrate::Substrate`): every delivery is wire-encoded by
-//! the shared `apply_outputs` driver and decoded on arrival, so the binary
-//! codec is exercised end-to-end in the simulated world too. Whole
+//! The simulator core ([`Simulation`]) is one implementation of
+//! `rgb_core`'s substrate layer (`rgb_core::substrate::Substrate`); the
+//! parallel engine ([`ParSimulation`]) runs one of them per shard. Every
+//! delivery is wire-encoded by the shared `apply_outputs` driver and
+//! decoded on arrival, so the binary codec is exercised end-to-end in the
+//! simulated world too. Whole
 //! experiments are described declaratively as [`scenario::Scenario`]
 //! values and run through one API —
 //! [`Scenario::run_on`](scenario::Scenario::run_on) with a [`Backend`] —
@@ -48,7 +50,7 @@ pub use mobility::{MobilityModel, TimedEvent};
 pub use network::{LatencyBand, LinkClass, LinkClassMatrix, NetConfig, NetworkModel};
 pub use obs::{obs_json, prometheus_text, ObsReport, Timeline, TimelineEntry};
 pub use oracle::{check_repair_complete, check_ring_consistency, function_well_report};
-pub use par::{ParSimulation, Parallelism};
+pub use par::ParSimulation;
 pub use rng::SplitMix64;
 pub use scenario::{operational_guids, Scenario, ScenarioError, ScenarioOutcome, TimedQuery};
 pub use sim::{MemoryStats, QueueKind, Simulation};

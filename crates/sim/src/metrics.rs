@@ -42,7 +42,8 @@ pub struct ParStats {
     /// Largest single mailbox batch of the run.
     pub max_batch: u64,
     /// Wall nanoseconds spent executing events inside windows
-    /// (`Shard::run_window`), summed across shards.
+    /// (each shard's `Simulation::run_until` to its horizon), summed
+    /// across shards.
     pub execute_nanos: u64,
     /// Wall nanoseconds spent flushing cross-shard mailbox batches.
     pub flush_nanos: u64,

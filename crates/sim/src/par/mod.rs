@@ -1,16 +1,19 @@
 //! `rgb_sim::par` — the sharded conservative-parallel simulation engine.
 //!
 //! [`ParSimulation`] runs the same protocol world as the sequential
-//! [`Simulation`](crate::sim::Simulation), split across shards:
+//! [`Simulation`], split across shards:
 //!
 //! 1. **Partitioning** is hierarchy-aware
 //!    ([`rgb_core::topology::HierarchyLayout::partition_rings`] via
 //!    `partition::ShardMap`): rings are never split and sponsored
 //!    subtrees stay contiguous, so intra-ring token traffic and most
 //!    parent–child traffic is shard-local.
-//! 2. **Each shard** owns a dense local arena — node states, crash flags,
-//!    timer wheel, per-node random streams, metrics — and is a full
-//!    [`rgb_core::substrate::Substrate`] (`shard::Shard`).
+//! 2. **Each shard is a [`Simulation`]** over its slice of the shared
+//!    `ShardMap`: the same node arena, dispatch loop and
+//!    [`rgb_core::substrate::Substrate`] impl the sequential engine runs
+//!    (which is simply the 1-shard case). The layout, indexer, link
+//!    classes and map are shared through `Arc`; frames for other shards
+//!    are staged in per-destination outboxes (`shard` module).
 //! 3. **Synchronisation is conservative, per shard pair**: the *lookahead
 //!    matrix* (`partition::LookaheadMatrix`) records the minimum
 //!    [`LatencyBand`](crate::network::LatencyBand) floor over link classes
@@ -55,14 +58,13 @@ pub(crate) mod partition;
 pub(crate) mod shard;
 
 use crate::metrics::{Metrics, ParStats};
-use crate::network::{LinkClassMatrix, NetConfig, NetworkModel};
-use crate::queue::{Event, EventKey, EventKind};
-use crate::sim::{MemoryStats, WirelessHop};
+use crate::network::{NetConfig, NetworkModel};
+use crate::queue::{Event, EventKey, EventKind, QueueKind};
+use crate::sim::{MemoryStats, Simulation, WirelessHop};
 use partition::{LookaheadMatrix, ShardMap};
 use rgb_core::node::NodeState;
 use rgb_core::prelude::*;
 use rgb_core::topology::{HierarchyLayout, NodeIndexer};
-use shard::Shard;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -141,36 +143,15 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// How a scenario run executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// The sequential engine ([`crate::sim::Simulation`]).
-    #[default]
-    Seq,
-    /// The sharded conservative-parallel engine with this many shards.
-    /// `Shards(1)` is a valid (single-shard) parallel run; both produce
-    /// digest streams identical to [`Parallelism::Seq`].
-    Shards(usize),
-}
-
-impl std::fmt::Display for Parallelism {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Parallelism::Seq => write!(f, "seq"),
-            Parallelism::Shards(n) => write!(f, "shards({n})"),
-        }
-    }
-}
-
 /// The sharded conservative-parallel discrete-event engine (see module
 /// docs).
 #[derive(Debug)]
 pub struct ParSimulation {
-    /// The hierarchy under simulation.
-    pub layout: HierarchyLayout,
+    /// The hierarchy under simulation (shared with every shard).
+    pub layout: Arc<HierarchyLayout>,
     indexer: Arc<NodeIndexer>,
     map: Arc<ShardMap>,
-    shards: Vec<Shard>,
+    shards: Vec<Simulation>,
     /// Driver clock: the deadline of the last [`ParSimulation::run_until`].
     now: u64,
     /// Per-ordered-pair conservative floors (see
@@ -210,26 +191,13 @@ impl ParSimulation {
         seed: u64,
         shards: usize,
     ) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let indexer = Arc::new(layout.indexer());
-        let classes = Arc::new(LinkClassMatrix::new(&layout, &indexer));
-        let map = Arc::new(ShardMap::new(&layout, &indexer, shards));
+        let shards =
+            Simulation::sharded(layout, cfg, net.clone(), seed, shards, QueueKind::TimerWheel);
+        let first = &shards[0];
+        let (layout, indexer, map) =
+            (Arc::clone(&first.layout), Arc::clone(&first.indexer), Arc::clone(&first.map));
         let la = LookaheadMatrix::new(&layout, &indexer, &map, &net);
         let model = NetworkModel::new(net);
-        let shards = (0..shards)
-            .map(|id| {
-                Shard::new(
-                    id,
-                    &layout,
-                    cfg,
-                    model.clone(),
-                    seed,
-                    Arc::clone(&indexer),
-                    Arc::clone(&classes),
-                    Arc::clone(&map),
-                )
-            })
-            .collect();
         ParSimulation {
             layout,
             indexer,
@@ -306,8 +274,8 @@ impl ParSimulation {
     where
         F: FnMut(usize) -> Box<dyn rgb_core::obs::TraceSink>,
     {
-        for shard in &mut self.shards {
-            shard.obs.enable(make_sink(shard.id));
+        for (id, shard) in self.shards.iter_mut().enumerate() {
+            shard.enable_obs(make_sink(id));
         }
     }
 
@@ -315,7 +283,7 @@ impl ParSimulation {
     /// mode: per-level histograms feed coverage features at no trace cost.
     pub fn enable_obs_tracking(&mut self) {
         for shard in &mut self.shards {
-            shard.obs.enable_tracking();
+            shard.enable_obs_tracking();
         }
     }
 
@@ -326,7 +294,7 @@ impl ParSimulation {
     pub fn trace_snapshot(&self) -> Vec<rgb_core::obs::ObsRecord> {
         let mut all = Vec::new();
         for shard in &self.shards {
-            all.extend(shard.obs.trace_snapshot());
+            all.extend(shard.trace_snapshot());
         }
         all.sort_unstable();
         all
@@ -334,7 +302,7 @@ impl ParSimulation {
 
     /// Trace records evicted by sink capacity bounds, across every shard.
     pub fn trace_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.obs.trace_dropped()).sum()
+        self.shards.iter().map(|s| s.trace_dropped()).sum()
     }
 
     /// Merged per-ring-level latency surfaces across every shard (empty
@@ -352,7 +320,7 @@ impl ParSimulation {
     /// Join intervals discarded because a shard's first-seen table hit
     /// its cap (accounting trim only; protocol behaviour is unaffected).
     pub fn obs_first_seen_overflow(&self) -> u64 {
-        self.shards.iter().map(|s| s.obs.first_seen_overflow()).sum()
+        self.shards.iter().map(|s| s.obs_first_seen_overflow()).sum()
     }
 
     fn sched_key(&mut self) -> EventKey {
@@ -499,15 +467,16 @@ impl ParSimulation {
     fn run_windowed(&mut self, deadline: u64) {
         let start = self.now;
         let nshards = self.shards.len();
-        let active: Vec<bool> =
-            self.shards.iter().map(|s| s.len() > 0 || s.queue_len() > 0).collect();
+        let active: Vec<bool> = (self.map.members.iter().zip(&self.shards))
+            .map(|(members, s)| !members.is_empty() || s.queue_len() > 0)
+            .collect();
         let threads = active.iter().filter(|&&a| a).count();
         if threads <= 1 {
             // Nothing can cross shards: drive the one populated shard
             // (if any) straight to the deadline.
             for (shard, _) in self.shards.iter_mut().zip(&active).filter(|(_, &a)| a) {
                 let t0 = std::time::Instant::now();
-                shard.run_window(deadline);
+                shard.run_until(deadline);
                 shard.metrics.par.execute_nanos += t0.elapsed().as_nanos() as u64;
                 shard.metrics.par.windows += 1;
             }
@@ -528,8 +497,8 @@ impl ParSimulation {
         let active = &active;
         let la = &self.la;
         std::thread::scope(|scope| {
-            for (shard, rx) in self.shards.iter_mut().zip(rxs.iter_mut()) {
-                if !active[shard.id] {
+            for (me, (shard, rx)) in self.shards.iter_mut().zip(rxs.iter_mut()).enumerate() {
+                if !active[me] {
                     continue;
                 }
                 let rx = rx.take().expect("one thread per shard");
@@ -539,7 +508,6 @@ impl ParSimulation {
                     // of waiting forever; the scope join then propagates
                     // the panic.
                     let _guard = PoisonOnPanic(barrier);
-                    let me = shard.id;
                     let mut clocks = vec![u64::MAX; nshards];
                     for (clock, &live) in clocks.iter_mut().zip(active) {
                         if live {
@@ -560,12 +528,12 @@ impl ParSimulation {
                         // timing cannot perturb determinism; the barrier
                         // bucket is the load-imbalance signal.
                         let t0 = std::time::Instant::now();
-                        shard.run_window(horizons[me]);
+                        shard.run_until(horizons[me]);
                         shard.metrics.par.windows += 1;
                         let t1 = std::time::Instant::now();
                         shard.metrics.par.execute_nanos += (t1 - t0).as_nanos() as u64;
                         let sent_min = shard.flush_batches(txs);
-                        let bound = shard.next_event_at().min(sent_min);
+                        let bound = shard.peek_at().unwrap_or(u64::MAX).min(sent_min);
                         published[me][parity].store(bound, Ordering::Relaxed);
                         let t2 = std::time::Instant::now();
                         shard.metrics.par.flush_nanos += (t2 - t1).as_nanos() as u64;
@@ -622,7 +590,7 @@ impl ParSimulation {
     /// `(at, key)` minimum across shard queues — the sequential semantics
     /// over the partitioned state. No parallel speedup, but scenario knobs
     /// and digests behave identically, so an instant-network run is still
-    /// valid under any `Parallelism`.
+    /// valid under any shard count.
     fn run_merged(&mut self, deadline: u64) {
         loop {
             let mut best: Option<(u64, EventKey, usize)> = None;
@@ -640,7 +608,7 @@ impl ParSimulation {
             }
         }
         for shard in &mut self.shards {
-            shard.run_window(deadline); // pins shard.now to the deadline
+            shard.run_until(deadline); // pins shard.now to the deadline
         }
     }
 
@@ -709,12 +677,9 @@ impl ParSimulation {
     /// Oracle-facing digest of the whole system, byte-identical to the
     /// sequential engine's at every `run_until` boundary.
     pub fn system_digest(&self, settled: bool) -> SystemDigest {
-        let mut tagged = Vec::new();
-        for shard in &self.shards {
-            shard.digests_into(&mut tagged);
-        }
-        tagged.sort_by_key(|&(global, _)| global);
-        let nodes = tagged.into_iter().map(|(_, digest)| digest).collect();
+        let mut nodes: Vec<StateDigest> =
+            self.shards.iter().flat_map(|s| s.alive_nodes().map(|(_, n)| n.digest())).collect();
+        nodes.sort_by_key(|d| d.node);
         SystemDigest { now: self.now, nodes, crashed: self.crashed_set(), settled }
     }
 
@@ -726,19 +691,18 @@ impl ParSimulation {
     /// Final membership views (the substrate-independent
     /// [`ScenarioOutcome`](crate::scenario::ScenarioOutcome) content).
     pub fn views(&self) -> std::collections::BTreeMap<NodeId, BTreeSet<Guid>> {
-        let mut views = Vec::new();
-        for shard in &self.shards {
-            shard.views_into(&mut views);
-        }
-        views.into_iter().collect()
+        self.shards
+            .iter()
+            .flat_map(|s| s.alive_nodes())
+            .map(|(id, n)| (id, crate::scenario::operational_guids(&n.ring_members)))
+            .collect()
     }
 
     /// Every node's protocol state, in id order (cold path: gathers across
     /// shards).
     pub fn nodes_iter(&self) -> impl Iterator<Item = (NodeId, &NodeState)> + '_ {
-        self.indexer.iter().map(|(global, id)| {
-            let shard = &self.shards[self.map.shard_of(global)];
-            (id, shard.node_at(self.map.local_of(global).as_usize()))
-        })
+        self.indexer
+            .iter()
+            .map(|(global, id)| (id, self.shards[self.map.shard_of(global)].node(id)))
     }
 }

@@ -16,15 +16,21 @@ use crate::network::{LinkClass, NetConfig};
 use rgb_core::prelude::*;
 use rgb_core::topology::{HierarchyLayout, NodeIdx, NodeIndexer};
 
+/// Where one node lives: its owning shard and its index local to that
+/// shard's arenas (one load answers both on the send path).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Slot {
+    pub shard: u32,
+    pub local: u32,
+}
+
 /// Immutable node→shard arena of one partitioned layout.
 #[derive(Debug)]
 pub(crate) struct ShardMap {
     /// Number of shards (groups; trailing ones may be empty).
     pub shards: usize,
-    /// Global [`NodeIdx`] → owning shard.
-    pub shard_of: Vec<u16>,
-    /// Global [`NodeIdx`] → index local to the owning shard's arenas.
-    pub local_of: Vec<u32>,
+    /// Global [`NodeIdx`] → owning shard and local index.
+    slots: Vec<Slot>,
     /// Per shard: its nodes as global indices, ascending (local index
     /// order therefore follows global id order).
     pub members: Vec<Vec<NodeIdx>>,
@@ -32,38 +38,39 @@ pub(crate) struct ShardMap {
 
 impl ShardMap {
     /// Partition `layout` into `shards` groups (see
-    /// [`HierarchyLayout::partition_rings`]).
+    /// [`HierarchyLayout::partition_rings`]). One shard keeps every
+    /// node's local index equal to its global one.
     pub fn new(layout: &HierarchyLayout, indexer: &NodeIndexer, shards: usize) -> Self {
         let groups = layout.partition_rings(shards);
-        let mut shard_of = vec![0u16; indexer.len()];
+        let mut slots = vec![Slot::default(); indexer.len()];
         for (s, rings) in groups.iter().enumerate() {
             for &rid in rings {
                 for &node in &layout.ring(rid).expect("partition ring exists").nodes {
                     let idx = indexer.index_of(node).expect("ring node is in layout");
-                    shard_of[idx.as_usize()] = s as u16;
+                    slots[idx.as_usize()].shard = s as u32;
                 }
             }
         }
         let mut members: Vec<Vec<NodeIdx>> = vec![Vec::new(); shards];
-        let mut local_of = vec![0u32; indexer.len()];
         for (idx, _) in indexer.iter() {
-            let s = shard_of[idx.as_usize()] as usize;
-            local_of[idx.as_usize()] = members[s].len() as u32;
-            members[s].push(idx);
+            let slot = &mut slots[idx.as_usize()];
+            let owned = &mut members[slot.shard as usize];
+            slot.local = owned.len() as u32;
+            owned.push(idx);
         }
-        ShardMap { shards, shard_of, local_of, members }
+        ShardMap { shards, slots, members }
+    }
+
+    /// Owning shard and local index of a global index.
+    #[inline]
+    pub fn slot(&self, idx: NodeIdx) -> Slot {
+        self.slots[idx.as_usize()]
     }
 
     /// Owning shard of a global index.
     #[inline]
     pub fn shard_of(&self, idx: NodeIdx) -> usize {
-        self.shard_of[idx.as_usize()] as usize
-    }
-
-    /// Local index of a global index within its owning shard.
-    #[inline]
-    pub fn local_of(&self, idx: NodeIdx) -> NodeIdx {
-        NodeIdx(self.local_of[idx.as_usize()])
+        self.slot(idx).shard as usize
     }
 
     /// Shards that actually own nodes.
@@ -246,7 +253,7 @@ mod tests {
             for (s, members) in map.members.iter().enumerate() {
                 for (local, &global) in members.iter().enumerate() {
                     assert_eq!(map.shard_of(global), s);
-                    assert_eq!(map.local_of(global), NodeIdx(local as u32));
+                    assert_eq!(map.slot(global).local as usize, local);
                     seen += 1;
                 }
                 // Local order follows global id order.

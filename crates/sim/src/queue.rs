@@ -125,15 +125,17 @@ pub(crate) enum EventKind {
     /// An encoded [`Envelope`] frame in flight between two NEs. `to` is
     /// `None` when the destination is outside the layout (the frame is
     /// still decoded and counted on arrival, like the live runtime's
-    /// receive path for unroutable destinations). In the sharded engine
-    /// `to` is the destination's index *local to the owning shard*.
+    /// receive path for unroutable destinations). `to` is the
+    /// destination's index *local to the owning shard* (its global index
+    /// in the sequential engine, the 1-shard case).
     Deliver {
         from: NodeId,
         to: Option<NodeIdx>,
         frame: Bytes,
     },
-    /// A timer expiry; `gen` is the generation stamp assigned at arm time —
-    /// a mismatch against the node's live slot marks a superseded entry.
+    /// A timer expiry at the engine-local index `node`; `gen` is the
+    /// generation stamp assigned at arm time — a mismatch against the
+    /// node's live slot marks a superseded entry.
     Timer {
         node: NodeIdx,
         kind: TimerKind,

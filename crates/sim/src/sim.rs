@@ -2,14 +2,30 @@
 //! node state machines, with the network model supplying latency and loss,
 //! deterministic timer management, fault injection and metrics.
 //!
-//! The simulator is one of the two [`Substrate`] implementations shipped
-//! with this workspace (the other is `rgb-net`'s threaded runtime). Every
-//! protocol output is interpreted by the shared
+//! [`Simulation`] is the **one simulator core**: the only node arena, the
+//! only event dispatch loop and the only simulator [`Substrate`] impl in
+//! this crate. It is driven two ways — directly as the sequential engine
+//! (one engine over the whole layout), and as each shard of the parallel
+//! engine ([`crate::par`]), where `n` of them over disjoint slices of the
+//! same layout run the windowed or merged loops. The live reactor in
+//! `rgb-net` is the workspace's other [`Substrate`].
+//!
+//! Every protocol output is interpreted by the shared
 //! [`rgb_core::substrate::apply_outputs`] driver, which wire-encodes each
 //! send — so **every delivery in the simulated world crosses
 //! [`rgb_core::wire`]**, byte-for-byte the same codec the live runtime puts
 //! on its channels, and is decoded again on arrival. The wireless MH→AP hop
 //! travels as an encoded [`Msg::FromMh`] frame for the same reason.
+//!
+//! ## One shard map, local indices
+//!
+//! An engine owns the nodes of one shard of a `ShardMap` built by
+//! [`HierarchyLayout::partition_rings`]. The sequential engine is the
+//! 1-shard case, where a node's local index equals its global
+//! [`NodeIdx`]. The layout, the indexer, the link classes and the map are
+//! immutable and shared through `Arc` by every shard of one layout. A
+//! frame for a node on another shard is staged in a per-destination
+//! outbox, which the parallel driver flushes at its window barriers.
 //!
 //! ## Hot-path layout
 //!
@@ -17,17 +33,15 @@
 //! entirely on dense, precomputed structures:
 //!
 //! - node state, crash flags, deliveries, timer slots and timer
-//!   generations live in `Vec`s indexed by [`NodeIdx`] (the
-//!   [`rgb_core::topology::NodeIndexer`] arena) — no `BTreeMap`/`BTreeSet`
-//!   in `step()`;
+//!   generations live in `Vec`s indexed by local index — no
+//!   `BTreeMap`/`BTreeSet` in `step()`;
 //! - link classification is a [`LinkClassMatrix`] lookup precomputed at
 //!   construction — no per-send `placement()` walks;
 //! - send counters are fixed-slot arrays keyed by [`MsgLabel`] and
 //!   [`LinkClass`] ([`Metrics::record_send`]);
 //! - timers are generation-stamped slots drained through a bucketed timer
 //!   wheel (the crate-private `queue` module), so re-armed periodic
-//!   timers stop
-//!   accumulating stale heap entries.
+//!   timers stop accumulating stale heap entries.
 //!
 //! ## Execution-order-independent determinism
 //!
@@ -39,19 +53,19 @@
 //!   mobile host's wireless hop from a per-GUID stream resolved at
 //!   schedule time;
 //! - every queued event carries a deterministic key (the crate-private
-//!   `queue` module's `EventKey`) derived from its creator and that
-//!   creator's emission counter.
+//!   `queue` module's `EventKey`) derived from its creator's global index
+//!   and that creator's emission counter.
 //!
 //! A node's behaviour therefore depends only on the sequence of inputs
 //! *it* receives — never on how the engine interleaved *other* nodes in
-//! between. That property is what lets the sharded conservative-parallel
-//! engine ([`crate::par`]) reproduce this sequential engine's
-//! [`SystemDigest`] stream byte for byte.
+//! between. That property is what lets `n` shards reproduce the
+//! sequential engine's [`SystemDigest`] stream byte for byte.
 
 use crate::metrics::Metrics;
 use crate::network::{LinkClass, LinkClassMatrix, NetConfig, NetworkModel};
 use crate::obs::EngineObs;
-use crate::queue::{Event, EventKey, EventKind, EventQueue};
+use crate::par::partition::ShardMap;
+use crate::queue::{Event, EventKey, EventKind, EventQueue, TimerSlot};
 use crate::rng::SplitMix64;
 use bytes::Bytes;
 use rgb_core::node::NodeState;
@@ -60,20 +74,21 @@ use rgb_core::prelude::*;
 use rgb_core::topology::HierarchyLayout;
 use rgb_core::wire;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 pub use crate::queue::QueueKind;
 
 /// Sentinel for "no query outstanding" in the per-node query clock.
-pub(crate) const NO_QUERY: u64 = u64::MAX;
+const NO_QUERY: u64 = u64::MAX;
 
 /// Stream-id salt of per-node RNG streams (XORed with the node id).
-pub(crate) const NODE_STREAM_SALT: u64 = 0x4e4f_4445_0000_0000; // "NODE"
+const NODE_STREAM_SALT: u64 = 0x4e4f_4445_0000_0000; // "NODE"
 /// Stream-id salt of per-MH wireless streams (XORed with the GUID).
-pub(crate) const MH_STREAM_SALT: u64 = 0x7769_7265_6c65_7373; // "wireless"
+const MH_STREAM_SALT: u64 = 0x7769_7265_6c65_7373; // "wireless"
 /// Stream id of the fallback stream for sends from outside the layout.
-pub(crate) const EXT_STREAM_SALT: u64 = 0x4558_5445_524e_414c; // "EXTERNAL"
+const EXT_STREAM_SALT: u64 = 0x4558_5445_524e_414c; // "EXTERNAL"
 /// `src` slot marking runtime events created outside the layout.
-pub(crate) const EXT_SRC: u32 = u32::MAX;
+const EXT_SRC: u32 = u32::MAX;
 
 /// The GUID an [`MhEvent`] concerns (its wireless-stream key).
 pub(crate) fn mh_guid(event: &MhEvent) -> Guid {
@@ -91,7 +106,7 @@ pub(crate) fn mh_guid(event: &MhEvent) -> Guid {
 ///
 /// A mobile-host event's loss, latency and per-MH FIFO floor depend only
 /// on the schedule itself and the MH's private random stream — nothing the
-/// simulation computes feeds back into them — so both engines resolve the
+/// simulation computes feeds back into them — so both drivers resolve the
 /// whole hop the moment the event is scheduled and queue only the
 /// resulting [`EventKind::MhDeliver`] (or count the loss). This keeps the
 /// per-GUID FIFO state out of the hot path entirely, and out of the
@@ -141,45 +156,50 @@ impl WirelessHop {
     }
 }
 
-use crate::queue::TimerSlot;
-
-/// The discrete-event simulator.
+/// The discrete-event simulator: the sequential engine, and each shard of
+/// the parallel one (see the module docs).
 #[derive(Debug)]
 pub struct Simulation {
-    /// The hierarchy under simulation.
-    pub layout: HierarchyLayout,
+    /// The hierarchy under simulation (shared by every shard of a layout).
+    pub layout: Arc<HierarchyLayout>,
     /// Current simulated time (ticks).
     pub now: u64,
-    /// Collected metrics.
+    /// Collected metrics (a shard's share, when this is a shard).
     pub metrics: Metrics,
-    /// Dense NodeId ↔ NodeIdx arena over `layout`.
-    indexer: NodeIndexer,
-    /// Protocol state of every NE, by [`NodeIdx`].
+    /// Dense NodeId ↔ global NodeIdx arena over `layout`.
+    pub(crate) indexer: Arc<NodeIndexer>,
+    /// Node → shard / local-index assignment; one shard when sequential.
+    pub(crate) map: Arc<ShardMap>,
+    /// This engine's shard in `map`.
+    shard: usize,
+    /// Node id, by local index.
+    ids: Vec<NodeId>,
+    /// Protocol state of every owned NE, by local index.
     nodes: Vec<NodeState>,
-    /// Crash flags, by [`NodeIdx`] (hot-path view).
+    /// Crash flags, by local index (hot-path view).
     crashed: Vec<bool>,
-    /// Crashed NEs by id (cold mirror for reports and oracles; also keeps
-    /// ids outside the layout, exactly like the old `BTreeSet` did).
+    /// Crashes popped so far by id (cold mirror for reports and oracles;
+    /// also keeps ids outside the layout).
     crashed_ids: BTreeSet<NodeId>,
-    /// Application deliveries per node, with timestamps, by [`NodeIdx`].
+    /// Application deliveries per node, with timestamps, by local index.
     delivered: Vec<Vec<(u64, AppEvent)>>,
     /// Per-node retention cap on `delivered` (opt-in; `usize::MAX` keeps
     /// everything).
     delivered_cap: usize,
-    /// Live timers per node, by [`NodeIdx`].
+    /// Live timers per node, by local index.
     timer_slots: Vec<Vec<TimerSlot>>,
-    /// Per-node timer generation counters, by [`NodeIdx`].
+    /// Per-node timer generation counters, by local index.
     timer_gens: Vec<u64>,
-    /// Outstanding query start times, by [`NodeIdx`] (`NO_QUERY` = none).
+    /// Outstanding query start times, by local index (`NO_QUERY` = none).
     query_started: Vec<u64>,
-    /// Precomputed per-pair link classes.
-    classes: LinkClassMatrix,
-    events: EventQueue,
+    /// Precomputed per-pair link classes (shared).
+    classes: Arc<LinkClassMatrix>,
+    pub(crate) events: EventQueue,
     net: NetworkModel,
-    /// Per-node random streams, by [`NodeIdx`] — a node's draws depend only
-    /// on its own activity, never on engine interleaving.
+    /// Per-node random streams, by local index — a node's draws depend
+    /// only on its own activity, never on engine interleaving.
     rngs: Vec<SplitMix64>,
-    /// Per-node event-emission counters, by [`NodeIdx`] (the `seq` of
+    /// Per-node event-emission counters, by local index (the `seq` of
     /// runtime [`EventKey`]s).
     emit: Vec<u64>,
     /// Stream + counter for runtime events created outside the layout.
@@ -203,6 +223,13 @@ pub struct Simulation {
     /// Observability tracking (disabled by default; see
     /// [`Simulation::enable_obs`]).
     obs: EngineObs,
+    /// Events popped so far (throughput accounting).
+    pub(crate) processed: u64,
+    /// Staged events for nodes on other shards, by destination shard;
+    /// flushed by the parallel driver (always empty when sequential).
+    pub(crate) outbox: Vec<Vec<Event>>,
+    /// Recycled mailbox batch buffers (parallel driver only).
+    pub(crate) spare: Vec<Vec<Event>>,
 }
 
 impl Substrate for Simulation {
@@ -222,40 +249,47 @@ impl Substrate for Simulation {
         // The sender's private stream and emission counter: both the frame
         // fate and the event key derive from the sender alone.
         let (rng, src, emit) = match fi {
-            Some(i) => (&mut self.rngs[i.as_usize()], i.0, &mut self.emit[i.as_usize()]),
+            Some(g) => {
+                let slot = self.map.slot(g);
+                debug_assert_eq!(slot.shard as usize, self.shard, "send from foreign node");
+                let i = slot.local as usize;
+                (&mut self.rngs[i], g.0, &mut self.emit[i])
+            }
             None => (&mut self.ext_rng, EXT_SRC, &mut self.ext_emit),
         };
         let Some(plan) = self.net.plan_frame(class, rng) else {
             self.metrics.lost += 1;
             return;
         };
+        let mut seq = *emit;
+        *emit += 1 + u64::from(plan.dup_latency.is_some());
         if plan.reordered {
             self.metrics.reordered += 1;
         }
+        // The destination's shard and its index local to that shard.
+        let (dest, to) = match ti {
+            Some(g) => {
+                let slot = self.map.slot(g);
+                (slot.shard as usize, Some(NodeIdx(slot.local)))
+            }
+            None => (self.shard, None),
+        };
         if let Some(dup_latency) = plan.dup_latency {
             self.metrics.duplicated += 1;
-            let key = EventKey::emitted(src, *emit);
-            *emit += 1;
-            self.events.push(
-                self.now,
-                self.now.saturating_add(dup_latency),
-                key,
-                EventKind::Deliver { from, to: ti, frame: frame.clone() },
-            );
+            let at = self.now.saturating_add(dup_latency);
+            let kind = EventKind::Deliver { from, to, frame: frame.clone() };
+            self.route(dest, at, EventKey::emitted(src, seq), kind);
+            seq += 1;
         }
-        let key = EventKey::emitted(src, *emit);
-        *emit += 1;
-        self.events.push(
-            self.now,
-            self.now.saturating_add(plan.latency),
-            key,
-            EventKind::Deliver { from, to: ti, frame },
-        );
+        let at = self.now.saturating_add(plan.latency);
+        self.route(dest, at, EventKey::emitted(src, seq), EventKind::Deliver { from, to, frame });
     }
 
     fn arm_timer(&mut self, node: NodeId, kind: TimerKind, after: u64) {
-        let Some(idx) = self.indexer.index_of(node) else { return };
-        let i = idx.as_usize();
+        let Some(g) = self.indexer.index_of(node) else { return };
+        let slot = self.map.slot(g);
+        debug_assert_eq!(slot.shard as usize, self.shard, "timer of foreign node");
+        let i = slot.local as usize;
         let gen = {
             let g = &mut self.timer_gens[i];
             *g += 1;
@@ -266,19 +300,19 @@ impl Substrate for Simulation {
             Some(slot) => slot.gen = gen,
             None => slots.push(TimerSlot { kind, gen }),
         }
-        let key = EventKey::emitted(idx.0, self.emit[i]);
+        let key = EventKey::emitted(g.0, self.emit[i]);
         self.emit[i] += 1;
         self.events.push(
             self.now,
             self.now.saturating_add(after),
             key,
-            EventKind::Timer { node: idx, kind, gen },
+            EventKind::Timer { node: NodeIdx(i as u32), kind, gen },
         );
     }
 
     fn cancel_timer(&mut self, node: NodeId, kind: TimerKind) {
-        let Some(idx) = self.indexer.index_of(node) else { return };
-        let slots = &mut self.timer_slots[idx.as_usize()];
+        let Some(i) = self.local_of(node) else { return };
+        let slots = &mut self.timer_slots[i];
         if let Some(pos) = slots.iter().position(|s| s.kind == kind) {
             slots.swap_remove(pos);
         }
@@ -286,8 +320,7 @@ impl Substrate for Simulation {
 
     fn deliver_app(&mut self, node: NodeId, event: AppEvent) {
         self.metrics.app_events += 1;
-        let Some(idx) = self.indexer.index_of(node) else { return };
-        let i = idx.as_usize();
+        let Some(i) = self.local_of(node) else { return };
         if let AppEvent::QueryResult { .. } = &event {
             let t0 = std::mem::replace(&mut self.query_started[i], NO_QUERY);
             if t0 != NO_QUERY {
@@ -332,49 +365,84 @@ impl Simulation {
         seed: u64,
         queue: QueueKind,
     ) -> Self {
-        let indexer = layout.indexer();
-        let n = indexer.len();
-        let nodes: Vec<NodeState> = indexer
-            .iter()
-            .map(|(_, id)| NodeState::from_layout(&layout, id, cfg.clone()).expect("valid layout"))
-            .collect();
-        let classes = LinkClassMatrix::new(&layout, &indexer);
-        // Streams are keyed by the stable NodeId (not the dense index), so
-        // any engine covering any subset of the layout derives identical
-        // streams for identical nodes.
-        let rngs = indexer
-            .iter()
-            .map(|(_, id)| SplitMix64::stream(seed, NODE_STREAM_SALT ^ id.0))
-            .collect();
-        let obs_ids: Vec<NodeId> = indexer.iter().map(|(_, id)| id).collect();
-        let obs = EngineObs::new(&obs_ids, &layout);
-        Simulation {
-            layout,
-            now: 0,
-            metrics: Metrics::default(),
-            indexer,
-            nodes,
-            crashed: vec![false; n],
-            crashed_ids: BTreeSet::new(),
-            delivered: vec![Vec::new(); n],
-            delivered_cap: usize::MAX,
-            timer_slots: vec![Vec::new(); n],
-            timer_gens: vec![0; n],
-            query_started: vec![NO_QUERY; n],
-            classes,
-            events: EventQueue::new(queue),
-            net: NetworkModel::new(net),
-            rngs,
-            emit: vec![0; n],
-            ext_rng: SplitMix64::stream(seed, EXT_STREAM_SALT),
-            ext_emit: 0,
-            sched_seq: 0,
-            root_rng: SplitMix64::new(seed),
-            wireless: WirelessHop::new(seed),
-            partitioned: Vec::new(),
-            out_buf: OutputSink::new(),
-            obs,
-        }
+        let mut engines = Self::sharded(layout, cfg, net, seed, 1, queue);
+        engines.pop().expect("one shard")
+    }
+
+    /// One engine per shard of `layout` split `shards` ways, all sharing
+    /// one layout, indexer, link-class matrix and shard map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero or `net` fails [`NetConfig::validate`].
+    pub(crate) fn sharded(
+        layout: HierarchyLayout,
+        cfg: &ProtocolConfig,
+        net: NetConfig,
+        seed: u64,
+        shards: usize,
+        queue: QueueKind,
+    ) -> Vec<Self> {
+        assert!(shards > 0, "need at least one shard");
+        let indexer = Arc::new(layout.indexer());
+        let classes = Arc::new(LinkClassMatrix::new(&layout, &indexer));
+        let map = Arc::new(ShardMap::new(&layout, &indexer, shards));
+        let layout = Arc::new(layout);
+        let net = NetworkModel::new(net);
+        (0..shards)
+            .map(|shard| {
+                let ids: Vec<NodeId> =
+                    map.members[shard].iter().map(|&g| indexer.id_of(g)).collect();
+                let n = ids.len();
+                let nodes = ids
+                    .iter()
+                    .map(|&id| {
+                        NodeState::from_layout(&layout, id, cfg.clone()).expect("valid layout")
+                    })
+                    .collect();
+                // Streams are keyed by the stable NodeId (not the dense
+                // index), so every shard derives the same stream for the
+                // same node.
+                let rngs = ids
+                    .iter()
+                    .map(|&id| SplitMix64::stream(seed, NODE_STREAM_SALT ^ id.0))
+                    .collect();
+                let obs = EngineObs::new(&ids, &layout);
+                Simulation {
+                    layout: Arc::clone(&layout),
+                    now: 0,
+                    metrics: Metrics::default(),
+                    indexer: Arc::clone(&indexer),
+                    map: Arc::clone(&map),
+                    shard,
+                    ids,
+                    nodes,
+                    crashed: vec![false; n],
+                    crashed_ids: BTreeSet::new(),
+                    delivered: vec![Vec::new(); n],
+                    delivered_cap: usize::MAX,
+                    timer_slots: vec![Vec::new(); n],
+                    timer_gens: vec![0; n],
+                    query_started: vec![NO_QUERY; n],
+                    classes: Arc::clone(&classes),
+                    events: EventQueue::new(queue),
+                    net: net.clone(),
+                    rngs,
+                    emit: vec![0; n],
+                    ext_rng: SplitMix64::stream(seed, EXT_STREAM_SALT),
+                    ext_emit: 0,
+                    sched_seq: 0,
+                    root_rng: SplitMix64::new(seed),
+                    wireless: WirelessHop::new(seed),
+                    partitioned: Vec::new(),
+                    out_buf: OutputSink::new(),
+                    obs,
+                    processed: 0,
+                    outbox: vec![Vec::new(); shards],
+                    spare: Vec::new(),
+                }
+            })
+            .collect()
     }
 
     /// Enable observability: latency tracking into
@@ -417,8 +485,8 @@ impl Simulation {
 
     /// Boot every node at time zero.
     pub fn boot_all(&mut self) {
-        for idx in 0..self.nodes.len() {
-            self.inject_idx(NodeIdx(idx as u32), Input::Boot);
+        for i in 0..self.nodes.len() {
+            self.inject_local(i, Input::Boot);
         }
     }
 
@@ -426,23 +494,39 @@ impl Simulation {
     /// the shared [`apply_outputs`] driver (sends are wire-encoded).
     /// Unknown nodes ignore the input.
     pub fn inject(&mut self, node: NodeId, input: Input) {
-        if let Some(idx) = self.indexer.index_of(node) {
-            self.inject_idx(idx, input);
+        if let Some(i) = self.local_of(node) {
+            self.inject_local(i, input);
         }
     }
 
+    /// Local index of `id`, or `None` when `id` is outside the layout or
+    /// owned by another shard.
+    #[inline]
+    fn local_of(&self, id: NodeId) -> Option<usize> {
+        let slot = self.map.slot(self.indexer.index_of(id)?);
+        (slot.shard as usize == self.shard).then_some(slot.local as usize)
+    }
+
     /// Hot-path [`Simulation::inject`]: the node is already resolved.
-    fn inject_idx(&mut self, idx: NodeIdx, input: Input) {
-        let i = idx.as_usize();
+    fn inject_local(&mut self, i: usize, input: Input) {
         if self.crashed[i] {
             return;
         }
         let mut outs = std::mem::take(&mut self.out_buf);
         self.nodes[i].handle_into(input, &mut outs);
         let gid = self.layout.gid;
-        let id = self.indexer.id_of(idx);
+        let id = self.ids[i];
         apply_outputs(self, gid, id, &mut outs);
         self.out_buf = outs;
+    }
+
+    /// Queue a runtime event on this engine, or stage it for shard `dest`.
+    fn route(&mut self, dest: usize, at: u64, key: EventKey, kind: EventKind) {
+        if dest == self.shard {
+            self.events.push(self.now, at, key, kind);
+        } else {
+            self.outbox[dest].push(Event { at, key, kind });
+        }
     }
 
     /// Next scheduled-event key (schedule order, assigned at schedule
@@ -514,17 +598,18 @@ impl Simulation {
         self.partitioned.contains(&pair)
     }
 
-    /// Decode an arrived frame and feed it to `to`. Frames that fail to
-    /// decode or carry a foreign group id are dropped and counted, exactly
-    /// like the live runtime's receive path.
+    /// Decode an arrived frame and feed it to local node `to`. Frames that
+    /// fail to decode or carry a foreign group id are dropped and counted,
+    /// exactly like the live runtime's receive path.
     fn deliver_frame(&mut self, from: NodeId, to: Option<NodeIdx>, frame: &Bytes) {
         match wire::decode(frame) {
             Ok(env) if env.gid == self.layout.gid => {
-                if let Some(idx) = to {
+                if let Some(i) = to {
+                    let i = i.as_usize();
                     if self.obs.enabled {
-                        self.obs.on_msg(self.now, idx.as_usize(), &env.msg);
+                        self.obs.on_msg(self.now, i, &env.msg);
                     }
-                    self.inject_idx(idx, Input::Msg { from, msg: env.msg });
+                    self.inject_local(i, Input::Msg { from, msg: env.msg });
                 }
             }
             _ => self.metrics.codec_rejected += 1,
@@ -535,9 +620,10 @@ impl Simulation {
     pub fn step(&mut self) -> bool {
         let Some(Event { at, kind, .. }) = self.events.pop(self.now) else { return false };
         self.now = self.now.max(at);
+        self.processed += 1;
         match kind {
             EventKind::Deliver { from, to, frame } => {
-                let crashed = to.is_some_and(|idx| self.crashed[idx.as_usize()]);
+                let crashed = to.is_some_and(|i| self.crashed[i.as_usize()]);
                 if !crashed {
                     self.deliver_frame(from, to, &frame);
                 }
@@ -555,7 +641,7 @@ impl Simulation {
                             if self.obs.enabled {
                                 self.obs.on_timer_fire(self.now, i, kind);
                             }
-                            self.inject_idx(node, Input::Timer(kind));
+                            self.inject_local(i, Input::Timer(kind));
                         }
                         None => self.metrics.stale_timer_skips += 1,
                     }
@@ -564,14 +650,14 @@ impl Simulation {
                 }
             }
             EventKind::MhDeliver { ap, frame } => {
-                let idx = self.indexer.index_of(ap);
-                let crashed = idx.is_some_and(|i| self.crashed[i.as_usize()]);
+                let i = self.local_of(ap);
+                let crashed = i.is_some_and(|i| self.crashed[i]);
                 if !crashed {
                     match wire::decode(&frame) {
                         Ok(env) if env.gid == self.layout.gid => {
                             if let Msg::FromMh { event } = env.msg {
-                                if let Some(idx) = idx {
-                                    self.inject_idx(idx, Input::Mh(event));
+                                if let Some(i) = i {
+                                    self.inject_local(i, Input::Mh(event));
                                 }
                             } else {
                                 self.metrics.codec_rejected += 1;
@@ -583,8 +669,7 @@ impl Simulation {
             }
             EventKind::Crash { node } => {
                 self.crashed_ids.insert(node);
-                if let Some(idx) = self.indexer.index_of(node) {
-                    let i = idx.as_usize();
+                if let Some(i) = self.local_of(node) {
                     self.crashed[i] = true;
                     self.timer_slots[i].clear();
                     if self.obs.enabled {
@@ -593,21 +678,21 @@ impl Simulation {
                 }
             }
             EventKind::QueryStart { node, scope } => {
-                if let Some(idx) = self.indexer.index_of(node) {
-                    self.query_started[idx.as_usize()] = self.now;
+                if let Some(i) = self.local_of(node) {
+                    self.query_started[i] = self.now;
                     if self.obs.enabled {
-                        self.obs.on_query_issue(self.now, idx.as_usize());
+                        self.obs.on_query_issue(self.now, i);
                     }
-                    self.inject_idx(idx, Input::StartQuery { scope });
+                    self.inject_local(i, Input::StartQuery { scope });
                 }
             }
             EventKind::PartitionStart { a, b } => {
-                // Trace at endpoint `a` only: the parallel engine
+                // Trace at endpoint `a` only: the parallel driver
                 // replicates partition arms to both endpoint owners, and
                 // only `a`'s owner emits, keeping traces equivalent.
                 if self.obs.enabled {
-                    if let Some(ai) = self.indexer.index_of(a) {
-                        self.obs.on_partition(self.now, ai.as_usize(), true);
+                    if let Some(i) = self.local_of(a) {
+                        self.obs.on_partition(self.now, i, true);
                     }
                 }
                 // One entry per active window (no dedup): a heal removes
@@ -618,8 +703,8 @@ impl Simulation {
             }
             EventKind::PartitionHeal { a, b } => {
                 if self.obs.enabled {
-                    if let Some(ai) = self.indexer.index_of(a) {
-                        self.obs.on_partition(self.now, ai.as_usize(), false);
+                    if let Some(i) = self.local_of(a) {
+                        self.obs.on_partition(self.now, i, false);
                     }
                 }
                 let pair = if a <= b { (a, b) } else { (b, a) };
@@ -644,19 +729,14 @@ impl Simulation {
     }
 
     /// Run until simulated time reaches `deadline` (events beyond it stay
-    /// queued).
+    /// queued). The clock only moves forward: a deadline behind `now`
+    /// processes nothing. This is also one parallel window: a shard runs
+    /// its local events through the window's horizon.
     pub fn run_until(&mut self, deadline: u64) {
-        loop {
-            match self.peek_at() {
-                Some(at) if at <= deadline => {
-                    self.step();
-                }
-                _ => {
-                    self.now = self.now.max(deadline);
-                    return;
-                }
-            }
+        while self.peek_at().is_some_and(|at| at <= deadline) {
+            self.step();
         }
+        self.now = self.now.max(deadline);
     }
 
     /// Run until `deadline`, handing the simulation to `observe` every
@@ -692,13 +772,13 @@ impl Simulation {
     /// verdict (see [`Simulation::pending_disruptions`] and the explorer's
     /// stability detector) and is recorded verbatim for gate-aware oracles.
     pub fn system_digest(&self, settled: bool) -> SystemDigest {
-        let nodes = self
-            .indexer
-            .iter()
-            .filter(|&(idx, _)| !self.crashed[idx.as_usize()])
-            .map(|(idx, _)| self.nodes[idx.as_usize()].digest())
-            .collect();
+        let nodes = self.alive_nodes().map(|(_, n)| n.digest()).collect();
         SystemDigest { now: self.now, nodes, crashed: self.crashed_ids.clone(), settled }
+    }
+
+    /// Every alive owned node, in id order.
+    pub(crate) fn alive_nodes(&self) -> impl Iterator<Item = (NodeId, &NodeState)> {
+        self.nodes_iter().zip(&self.crashed).filter(|(_, &c)| !c).map(|(n, _)| n)
     }
 
     /// Run until `pred` holds (checked after every event) or `deadline`
@@ -736,12 +816,12 @@ impl Simulation {
 
     /// Borrow a node, or `None` for ids outside the layout.
     pub fn try_node(&self, id: NodeId) -> Option<&NodeState> {
-        self.indexer.index_of(id).map(|idx| &self.nodes[idx.as_usize()])
+        self.local_of(id).map(|i| &self.nodes[i])
     }
 
     /// Every node's protocol state, in id order.
     pub fn nodes_iter(&self) -> impl Iterator<Item = (NodeId, &NodeState)> {
-        self.indexer.iter().map(|(idx, id)| (id, &self.nodes[idx.as_usize()]))
+        self.ids.iter().copied().zip(&self.nodes)
     }
 
     /// Whether `guid` is operational in `node`'s ring membership. Unknown
@@ -752,8 +832,8 @@ impl Simulation {
 
     /// Whether `node` has crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        match self.indexer.index_of(node) {
-            Some(idx) => self.crashed[idx.as_usize()],
+        match self.local_of(node) {
+            Some(i) => self.crashed[i],
             None => self.crashed_ids.contains(&node),
         }
     }
@@ -766,18 +846,16 @@ impl Simulation {
 
     /// Events delivered at a node (empty for unknown nodes).
     pub fn events_at(&self, node: NodeId) -> &[(u64, AppEvent)] {
-        self.indexer
-            .index_of(node)
-            .map(|idx| self.delivered[idx.as_usize()].as_slice())
-            .unwrap_or(&[])
+        self.local_of(node).map(|i| self.delivered[i].as_slice()).unwrap_or(&[])
     }
 
     /// Every node's delivered events, in id order (nodes with no
     /// deliveries are skipped).
     pub fn delivered_iter(&self) -> impl Iterator<Item = (NodeId, &[(u64, AppEvent)])> {
-        self.indexer
+        self.ids
             .iter()
-            .map(|(idx, id)| (id, self.delivered[idx.as_usize()].as_slice()))
+            .zip(&self.delivered)
+            .map(|(&id, evs)| (id, evs.as_slice()))
             .filter(|(_, evs)| !evs.is_empty())
     }
 
@@ -787,10 +865,8 @@ impl Simulation {
     /// delivery log cannot grow without bound.
     pub fn drain_delivered(&mut self) -> Vec<(NodeId, u64, AppEvent)> {
         let mut out = Vec::new();
-        for (idx, id) in self.indexer.iter() {
-            for (at, ev) in self.delivered[idx.as_usize()].drain(..) {
-                out.push((id, at, ev));
-            }
+        for (&id, log) in self.ids.iter().zip(&mut self.delivered) {
+            out.extend(log.drain(..).map(|(at, ev)| (id, at, ev)));
         }
         out
     }
@@ -840,7 +916,24 @@ impl Simulation {
     /// node arena, timer slots, delivered-event buffers and the event
     /// queue. See [`MemoryStats`] for what is (and is not) counted.
     pub fn memory_stats(&self) -> MemoryStats {
-        memory_stats_of(&self.nodes, &self.timer_slots, &self.delivered, self.events.len())
+        use std::mem::size_of;
+        let queue_entries = self.events.len();
+        MemoryStats {
+            nodes: self.nodes.len(),
+            node_state_bytes: self.nodes.iter().map(|n| n.approx_bytes()).sum(),
+            timer_bytes: self
+                .timer_slots
+                .iter()
+                .map(|s| size_of::<Vec<TimerSlot>>() + s.len() * size_of::<TimerSlot>())
+                .sum(),
+            delivered_bytes: self
+                .delivered
+                .iter()
+                .map(|d| size_of::<Vec<(u64, AppEvent)>>() + d.len() * size_of::<(u64, AppEvent)>())
+                .sum(),
+            queue_entries,
+            queue_bytes: queue_entries * size_of::<Event>(),
+        }
     }
 }
 
@@ -887,35 +980,6 @@ impl MemoryStats {
         self.delivered_bytes += other.delivered_bytes;
         self.queue_entries += other.queue_entries;
         self.queue_bytes += other.queue_bytes;
-    }
-}
-
-/// Shared [`MemoryStats`] accounting over one engine's arenas (the
-/// sequential engine and every shard of the parallel one call this with
-/// their own slices).
-pub(crate) fn memory_stats_of(
-    nodes: &[NodeState],
-    timer_slots: &[Vec<TimerSlot>],
-    delivered: &[Vec<(u64, AppEvent)>],
-    queue_entries: usize,
-) -> MemoryStats {
-    use std::mem::size_of;
-    let node_state_bytes = nodes.iter().map(|n| n.approx_bytes()).sum::<usize>();
-    let timer_bytes = timer_slots
-        .iter()
-        .map(|s| size_of::<Vec<TimerSlot>>() + s.len() * size_of::<TimerSlot>())
-        .sum();
-    let delivered_bytes = delivered
-        .iter()
-        .map(|d| size_of::<Vec<(u64, AppEvent)>>() + d.len() * size_of::<(u64, AppEvent)>())
-        .sum();
-    MemoryStats {
-        nodes: nodes.len(),
-        node_state_bytes,
-        timer_bytes,
-        delivered_bytes,
-        queue_entries,
-        queue_bytes: queue_entries * size_of::<Event>(),
     }
 }
 

@@ -168,7 +168,7 @@ fn par_outcomes_and_counter_totals_match_sequential() {
             let mut seq = sc.build_sim();
             seq.run_until(sc.duration);
             let seq_outcome = ScenarioOutcome::from_sim(&seq);
-            for shards in [2usize, 4] {
+            for shards in [1usize, 2, 4] {
                 let mut par = sc.try_build_par(shards).expect("scenario validates");
                 par.run_until(sc.duration);
                 assert_eq!(
@@ -193,6 +193,38 @@ fn par_outcomes_and_counter_totals_match_sequential() {
                 assert_eq!(pm.app_events, sm.app_events, "'{}' app_events", sc.name);
                 assert_eq!(pm.codec_rejected, sm.codec_rejected, "'{}' codec_rejected", sc.name);
                 assert_eq!(pm.by_label(), sm.by_label(), "'{}' per-label sends", sc.name);
+                assert_eq!(
+                    pm.stale_timer_skips, sm.stale_timer_skips,
+                    "'{}' stale_timer_skips",
+                    sc.name
+                );
+                assert_eq!(
+                    pm.app_events_dropped, sm.app_events_dropped,
+                    "'{}' app_events_dropped",
+                    sc.name
+                );
+                assert_eq!(
+                    pm.query_latency.count(),
+                    sm.query_latency.count(),
+                    "'{}' query latency samples",
+                    sc.name
+                );
+                // Per-node memory accounting sums across shards to the
+                // sequential figure. Queue entries are left out: partition
+                // transitions are replicated to both endpoint shards.
+                let (pmem, smem) = (par.memory_stats(), seq.memory_stats());
+                assert_eq!(pmem.nodes, smem.nodes, "'{}' memory nodes", sc.name);
+                assert_eq!(
+                    pmem.node_state_bytes, smem.node_state_bytes,
+                    "'{}' node_state_bytes",
+                    sc.name
+                );
+                assert_eq!(pmem.timer_bytes, smem.timer_bytes, "'{}' timer_bytes", sc.name);
+                assert_eq!(
+                    pmem.delivered_bytes, smem.delivered_bytes,
+                    "'{}' delivered_bytes",
+                    sc.name
+                );
                 assert!(
                     par.processed_events() > 0,
                     "'{}' parallel engine processed nothing",
